@@ -2,9 +2,16 @@
 
 #![forbid(unsafe_code)]
 
+pub mod mixed;
+
 /// Prints a section banner.
 pub fn banner(title: &str) {
     println!("\n=== {title} ===");
+}
+
+/// Appends a section banner to `out` (the [`banner`] line, as text).
+pub fn banner_into(out: &mut String, title: &str) {
+    out.push_str(&format!("\n=== {title} ===\n"));
 }
 
 /// Formats cycles with the microsecond equivalent at 532 MHz.

@@ -73,3 +73,97 @@ fn attribution_matches_golden() {
         |ctx| attribution::attribution_report_with(ctx, 2),
     );
 }
+
+// ---- Kernel driver-loop goldens -------------------------------------
+//
+// The three drivers that step a kernel — `System::run`, the load
+// engine's shard loop and the schedule explorer — each pinned by one
+// deterministic output, so a change to how a thread is stepped (the §2.1
+// restart re-issue, parking, the `Compute`-at-IRQ split, interrupt
+// service and idle fast-forward) shows up as a byte diff. Sizes are
+// chosen to run in seconds under the debug test profile.
+
+use std::sync::OnceLock;
+
+use rt_explore::{explore_report, explore_scenario, render_line, BoundMemo, PorMode};
+use rt_load::{run_load, LoadSpec};
+use rt_pool::Pool;
+use rt_wcet::{AnalysisCache, AnalysisConfig};
+
+/// One analysis cache for every driver golden: the bounds are computed
+/// once per test binary.
+fn cache() -> &'static AnalysisCache {
+    static CACHE: OnceLock<AnalysisCache> = OnceLock::new();
+    CACHE.get_or_init(AnalysisCache::new)
+}
+
+fn check_text(name: &str, golden: &str, got: &str) {
+    assert!(
+        got == golden,
+        "{name} diverged from tests/goldens/{name}.txt:\n\
+         --- golden ---\n{golden}\n--- got ---\n{got}"
+    );
+}
+
+fn load_render(cores: u8) -> String {
+    let mut spec = LoadSpec::standard(7, 3_000, 16, 3);
+    spec.cores = cores;
+    run_load(
+        &spec,
+        &Pool::new(2),
+        cache(),
+        &AnalysisConfig::after_l2_off(),
+    )
+    .render()
+}
+
+#[test]
+fn load_one_core_matches_golden() {
+    check_text(
+        "load_1core",
+        include_str!("../goldens/load_1core.txt"),
+        &load_render(1),
+    );
+}
+
+#[test]
+fn load_two_cores_matches_golden() {
+    check_text(
+        "load_2core",
+        include_str!("../goldens/load_2core.txt"),
+        &load_render(2),
+    );
+}
+
+#[test]
+fn explore_matches_golden() {
+    let got = explore_report(6, PorMode::Sleep, &Pool::new(2), cache());
+    check_text("explore", include_str!("../goldens/explore.txt"), &got);
+}
+
+#[test]
+fn explore_smp_matches_golden() {
+    let pool = Pool::new(2);
+    let mut memo = BoundMemo::default();
+    let got: String = rt_explore::scenario::smp_all()
+        .iter()
+        .map(|sc| {
+            let rep = explore_scenario(sc, 5, PorMode::Sleep, None, 4, &pool, cache(), &mut memo);
+            render_line(&rep)
+        })
+        .collect();
+    check_text(
+        "explore_smp",
+        include_str!("../goldens/explore_smp.txt"),
+        &got,
+    );
+}
+
+#[test]
+fn mixed_criticality_matches_golden() {
+    check_text(
+        "mixed_criticality",
+        include_str!("../goldens/mixed_criticality.txt"),
+        &rt_examples::mixed::report(),
+    );
+}
