@@ -55,6 +55,7 @@
 pub mod cap;
 pub mod cnode;
 pub mod decision;
+pub mod driver;
 pub mod ep;
 pub mod fastpath;
 pub mod invariants;

@@ -8,16 +8,17 @@
 //! interrupts at their programmed cycles, and **re-executes trapped system
 //! calls of `Restart`-state threads** — the restartable-system-call
 //! mechanism of §2.1 made visible ("simply re-executing the original
-//! system call will continue the operation").
+//! system call will continue the operation"). Each step is one
+//! [`crate::driver::step`], with the scripts as its action source.
 
 use std::collections::{HashMap, VecDeque};
 
 use rt_hw::{Addr, Cycles};
 
+use crate::driver::{self, ActionSource, Stepped};
 use crate::kernel::Kernel;
 use crate::obj::ObjId;
 use crate::syscall::Syscall;
-use crate::tcb::ThreadState;
 
 /// One step of a user program.
 #[derive(Clone, Debug)]
@@ -141,83 +142,31 @@ impl System {
             if self.kernel.machine.now() >= horizon {
                 return StopReason::Horizon;
             }
-            // Pending interrupt while "in userspace": take the IRQ entry.
-            if self.kernel.machine.irq.has_pending() {
-                self.kernel.handle_interrupt();
-                continue;
-            }
-            if self.kernel.is_idle() {
-                // Fast-forward to the next programmed interrupt.
-                match self.kernel.machine.irq.next_scheduled() {
-                    Some(at) if at < horizon => {
-                        let now = self.kernel.machine.now();
-                        self.kernel.machine.advance(at.saturating_sub(now).max(1));
-                        self.kernel.handle_interrupt();
-                        continue;
-                    }
-                    _ => return StopReason::Quiescent,
-                }
-            }
-            let cur = self.kernel.current();
-            // §2.1: a Restart-state thread re-executes its trapped syscall.
-            let restart = {
-                let t = self.kernel.objs.tcb(cur);
-                if t.state == ThreadState::Restart {
-                    t.current_syscall.clone()
-                } else {
-                    None
-                }
-            };
-            if let Some(sys) = restart {
-                let _ = self.kernel.handle_syscall(sys);
-                continue;
-            }
-            if self.kernel.objs.tcb(cur).state == ThreadState::Restart {
-                // Restarted with no syscall (cancelled IPC): just run on.
-                self.kernel.objs.tcb_mut(cur).state = ThreadState::Running;
-            }
-            let Some(action) = self.scripts.get_mut(&cur).and_then(|s| s.next()) else {
-                // No program: park the thread.
-                self.suspend(cur);
-                continue;
-            };
-            match action {
-                Action::Compute(c) => {
-                    // Interrupts can arrive mid-computation; split the
-                    // advance at the next programmed IRQ so the entry
-                    // happens at the right cycle.
-                    let now = self.kernel.machine.now();
-                    match self.kernel.machine.irq.next_scheduled() {
-                        Some(at) if at > now && at - now < c => {
-                            let first = at - now;
-                            self.kernel.machine.advance(first);
-                            if let Some(s) = self.scripts.get_mut(&cur) {
-                                s.push_front(Action::Compute(c - first));
-                            }
-                            self.kernel.handle_interrupt();
-                        }
-                        _ => self.kernel.machine.advance(c),
-                    }
-                }
-                Action::Syscall(sys) => {
-                    let _ = self.kernel.handle_syscall(sys);
-                }
-                Action::PageFault(addr) => self.kernel.handle_page_fault(addr),
-                Action::UndefInstr => self.kernel.handle_undefined(),
-                Action::Pollute => self.kernel.machine.pollute(0x4000_0000),
-                Action::Stop => self.suspend(cur),
+            if driver::step(&mut self.kernel, &mut self.scripts, horizon) == Stepped::Quiescent {
+                return StopReason::Quiescent;
             }
         }
     }
+}
 
-    fn suspend(&mut self, tcb: ObjId) {
-        self.kernel.suspend_thread(tcb);
+/// The scripts as the driver's action source: a split `Compute`'s
+/// remainder runs next, ahead of the rest of the script.
+impl ActionSource for HashMap<ObjId, ThreadScript> {
+    fn next(&mut self, tcb: ObjId) -> Option<Action> {
+        self.get_mut(&tcb).and_then(ThreadScript::next)
+    }
+
+    fn defer(&mut self, tcb: ObjId, cycles: Cycles) {
+        if let Some(s) = self.get_mut(&tcb) {
+            s.push_front(Action::Compute(cycles));
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tcb::ThreadState;
     use crate::testutil::{boot_two_threads_one_ep, ep_object};
     use rt_hw::IrqLine;
 

@@ -2,12 +2,12 @@
 //! random walks, replay and counterexample minimization.
 //!
 //! A *run* executes a scenario instance from boot under a scripted choice
-//! trace (see [`crate::choice`]). The engine's event loop mirrors the
-//! simulator in `rt_kernel::system` — service pending interrupts, then
-//! step the current thread — except that *which* enabled event happens
-//! next (a thread step, or one of the legal interrupt arrivals) is a
-//! decision point, as is every preemption-point poll inside the kernel
-//! (via the installed [`DecisionSource`]). After every event the oracles
+//! trace (see [`crate::choice`]). Each event boundary services pending
+//! interrupts, then lets the choice trace pick *which* enabled event
+//! happens next: a thread step (one [`rt_kernel::driver::run_thread`],
+//! the scenario scripts as its action source) or one of the legal
+//! interrupt arrivals. Every preemption-point poll inside the kernel is a
+//! decision point too (via the installed [`DecisionSource`]). After every event the oracles
 //! run: the kernel-wide invariant suite, the incremental-consistency
 //! checks of [`crate::oracle`], and the latency oracle (every logged
 //! interrupt response must be within its WCET-derived bound — per-line
@@ -55,10 +55,11 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use rt_hw::{Cycles, IrqLine};
+use rt_kernel::driver::{self, ActionSource};
 use rt_kernel::invariants::{self, Violation};
 use rt_kernel::kernel::{EntryPoint, Kernel, KernelConfig};
+use rt_kernel::obj::ObjId;
 use rt_kernel::system::Action;
-use rt_kernel::tcb::ThreadState;
 use rt_pool::Pool;
 use rt_wcet::{smp_latency_margin, AnalysisCache, AnalysisConfig, SmpParams};
 
@@ -387,49 +388,25 @@ fn apply_seeded_bug(k: &mut Kernel, bug: SeededBug) {
     }
 }
 
-/// Steps the current thread once, mirroring `System::run`'s action
-/// semantics (restart re-execution, script exhaustion parks the thread).
-fn run_current(
-    k: &mut Kernel,
-    scripts: &[(rt_kernel::obj::ObjId, Vec<Action>)],
-    cursors: &mut [usize],
-) {
-    let cur = k.current();
-    let restart = {
-        let t = k.objs.tcb(cur);
-        if t.state == ThreadState::Restart {
-            t.current_syscall.clone()
-        } else {
-            None
-        }
-    };
-    if let Some(sys) = restart {
-        let _ = k.handle_syscall(sys);
-        return;
+/// The scenario scripts as the driver's action source: each thread's
+/// cursor walks its script once, and the thread is parked at the end.
+struct ScriptCursors<'a> {
+    scripts: &'a [(ObjId, Vec<Action>)],
+    cursors: &'a mut [usize],
+}
+
+impl ActionSource for ScriptCursors<'_> {
+    fn next(&mut self, tcb: ObjId) -> Option<Action> {
+        let si = self.scripts.iter().position(|(id, _)| *id == tcb)?;
+        let action = self.scripts[si].1.get(self.cursors[si]).cloned()?;
+        self.cursors[si] += 1;
+        Some(action)
     }
-    if k.objs.tcb(cur).state == ThreadState::Restart {
-        // Restarted with no syscall (cancelled IPC): just run on.
-        k.objs.tcb_mut(cur).state = ThreadState::Running;
-        return;
-    }
-    let Some(si) = scripts.iter().position(|(id, _)| *id == cur) else {
-        k.suspend_thread(cur);
-        return;
-    };
-    let Some(action) = scripts[si].1.get(cursors[si]).cloned() else {
-        k.suspend_thread(cur);
-        return;
-    };
-    cursors[si] += 1;
-    match action {
-        Action::Compute(c) => k.machine.advance(c),
-        Action::Syscall(sys) => {
-            let _ = k.handle_syscall(sys);
-        }
-        Action::PageFault(addr) => k.handle_page_fault(addr),
-        Action::UndefInstr => k.handle_undefined(),
-        Action::Pollute => k.machine.pollute(0x4000_0000),
-        Action::Stop => k.suspend_thread(cur),
+
+    fn defer(&mut self, _: ObjId, _: Cycles) {
+        // Explorer interrupts arrive only as `Raise` decisions, never from
+        // the controller's schedule, so no `Compute` is ever split.
+        unreachable!("explorer kernels schedule no interrupts");
     }
 }
 
@@ -739,7 +716,14 @@ fn execute_inner(
             match events[pick as usize] {
                 Event::Run(c) => {
                     kernel.switch_core(c);
-                    run_current(&mut kernel, &scripts[..], &mut cursors);
+                    // A cleared `Restart` costs this event on its own.
+                    driver::run_thread(
+                        &mut kernel,
+                        &mut ScriptCursors {
+                            scripts: &scripts[..],
+                            cursors: &mut cursors,
+                        },
+                    );
                 }
                 Event::Raise(i) => {
                     let line = {

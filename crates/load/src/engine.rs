@@ -2,12 +2,14 @@
 //!
 //! [`run_shard`] boots one shard ([`crate::scenario::build_shard`]),
 //! injects its open-loop interrupt schedules in one batch, and steps the
-//! system — modelled on `rt_kernel::system::System::run`, but owned here
-//! so every kernel visit and every interrupt response is *measured*:
-//! per-visit cycle counts feed the syscall histogram, drained
-//! [`rt_kernel::kernel::IrqResponse`] entries feed the per-line
-//! histograms, and each response is judged against its static bound as
-//! it is recorded (the soundness oracle's per-sample half).
+//! kernel with the shared driver step ([`rt_kernel::driver::step`]), the
+//! tenants' behaviours as its action source. The loop around the step
+//! is this engine's own: every kernel visit the step reports and every
+//! interrupt response is *measured* — per-visit cycle counts feed the
+//! syscall histogram, drained [`rt_kernel::kernel::IrqResponse`] entries
+//! feed the per-line histograms, and each response is judged against its
+//! static bound as it is recorded (the soundness oracle's per-sample
+//! half).
 //!
 //! The engine is deterministic: given the same [`LoadSpec`] and shard
 //! index it performs the same steps, draws the same RNG stream and
@@ -22,13 +24,12 @@ use std::collections::HashMap;
 
 use crate::hist::Hist;
 use crate::rng::{shard_seed, Rng64};
-use crate::scenario::{build_shard, LoadSpec, Step};
-use rt_hw::{AccessKind, Addr, Cycles, IrqLine, TraceEvent};
+use crate::scenario::{build_shard, Behavior, LoadSpec, ShardSim};
+use rt_hw::{AccessKind, Cycles, IrqLine, TraceEvent};
+use rt_kernel::driver::{self, ActionSource, Stepped};
+use rt_kernel::obj::ObjId;
 use rt_kernel::syscall::SyscallOutcome;
-use rt_kernel::tcb::ThreadState;
-
-/// Address region cache thrashers pretend their working set lives at.
-const POLLUTION_BASE: Addr = 0x4000_0000;
+use rt_kernel::system::Action;
 
 /// One observed interrupt response, identified by its raise cycle (raise
 /// times on a line are unique because arrival budgets exceed every
@@ -154,6 +155,28 @@ pub fn attribute_worst(
     run_shard_impl(spec, worst.shard, bounds, Some(probe))
 }
 
+/// The shard's tenants as the driver's action source: a split compute
+/// burst's remainder runs first, then the tenant's behaviour, drawing
+/// from the shard RNG in engine-loop order.
+struct Tenants {
+    behaviors: HashMap<ObjId, Behavior>,
+    rng: Rng64,
+    carry: HashMap<ObjId, Cycles>,
+}
+
+impl ActionSource for Tenants {
+    fn next(&mut self, tcb: ObjId) -> Option<Action> {
+        if let Some(c) = self.carry.remove(&tcb) {
+            return Some(Action::Compute(c));
+        }
+        self.behaviors.get_mut(&tcb).map(|b| b.next(&mut self.rng))
+    }
+
+    fn defer(&mut self, tcb: ObjId, cycles: Cycles) {
+        self.carry.insert(tcb, cycles);
+    }
+}
+
 fn run_shard_impl(
     spec: &LoadSpec,
     shard: u32,
@@ -161,7 +184,12 @@ fn run_shard_impl(
     probe: Option<Probe>,
 ) -> ShardReport {
     let mut rng = Rng64::new(shard_seed(spec.seed, shard));
-    let mut sim = build_shard(spec);
+    let ShardSim {
+        mut kernel,
+        behaviors,
+        threads,
+        endpoints,
+    } = build_shard(spec);
     let quota = spec.shard_quota();
     let lines = spec.active_lines();
     let bound_of: HashMap<u8, Cycles> = bounds.iter().copied().collect();
@@ -185,7 +213,12 @@ fn run_shard_impl(
             batch.push((t, IrqLine(line)));
         }
     }
-    sim.kernel.inject_irq_schedule(batch);
+    kernel.inject_irq_schedule(batch);
+    let mut tenants = Tenants {
+        behaviors,
+        rng,
+        carry: HashMap::new(),
+    };
 
     // Closed-loop driver lines: re-armed only after the driver's ack.
     let mut drv_scheduled: HashMap<u8, u64> = HashMap::new();
@@ -209,7 +242,6 @@ fn run_shard_impl(
     let mut violation_counts: Vec<u64> = vec![0; lines.len()];
     let mut drained = 0usize;
     let mut injected = false;
-    let mut carry: HashMap<rt_kernel::obj::ObjId, Cycles> = HashMap::new();
     let mut attribution: Option<WorstAttribution> = None;
 
     let mut steps = 0u64;
@@ -220,7 +252,7 @@ fn run_shard_impl(
             break;
         }
         steps += 1;
-        let k = &mut sim.kernel;
+        let k = &mut kernel;
 
         // Replay probe: arm the trace before the sample's window.
         if let Some(p) = probe {
@@ -252,110 +284,46 @@ fn run_shard_impl(
             let sched = drv_scheduled[&l];
             let il = IrqLine(l);
             if seen[&l] == sched && !k.machine.irq.is_masked(il) && !k.machine.irq.is_pending(il) {
-                let gap = rng.gen_range(budget, 2 * budget);
+                let gap = tenants.rng.gen_range(budget, 2 * budget);
                 let at = k.machine.now() + gap;
                 k.machine.irq.schedule(at, il);
                 *drv_scheduled.get_mut(&l).unwrap() = sched + 1;
             }
         }
 
-        // Pending interrupt while "in userspace": take the IRQ entry.
-        if k.machine.irq.has_pending() {
-            k.handle_interrupt();
-        } else if k.is_idle() {
-            match k.machine.irq.next_scheduled() {
-                Some(at) => {
-                    let now = k.machine.now();
-                    k.machine.advance(at.saturating_sub(now).max(1));
-                    k.handle_interrupt();
+        // One driver step on core 0; every kernel visit (fresh or a
+        // §2.1 re-issue) is measured.
+        match driver::step(k, &mut tenants, Cycles::MAX) {
+            Stepped::Quiescent => break,
+            Stepped::Parked => continue,
+            Stepped::Syscall { cycles, outcome } => {
+                syscalls.record(cycles);
+                syscall_visits += 1;
+                events += 1;
+                if outcome == SyscallOutcome::Preempted {
+                    preempted += 1;
                 }
-                None => break, // quiescent
             }
-        } else {
-            let cur = k.current();
-            // §2.1: a Restart-state thread re-executes its trapped
-            // syscall; the re-execution is measured as a fresh visit.
-            let restart = {
-                let t = k.objs.tcb(cur);
-                if t.state == ThreadState::Restart {
-                    t.current_syscall.clone()
-                } else {
-                    None
-                }
-            };
-            let step = if let Some(sys) = restart {
-                Step::Sys(sys)
-            } else {
-                if k.objs.tcb(cur).state == ThreadState::Restart {
-                    k.objs.tcb_mut(cur).state = ThreadState::Running;
-                }
-                if let Some(c) = carry.remove(&cur) {
-                    Step::Compute(c)
-                } else {
-                    match sim.behaviors.get_mut(&cur) {
-                        Some(b) => b.next(&mut rng),
-                        None => {
-                            k.suspend_thread(cur);
-                            continue;
-                        }
-                    }
-                }
-            };
-            match step {
-                Step::Compute(c) => {
-                    let c = c.max(1);
-                    // Split the advance at the next programmed IRQ so
-                    // the entry happens at the right cycle.
-                    let now = k.machine.now();
-                    match k.machine.irq.next_scheduled() {
-                        Some(at) if at > now && at - now < c => {
-                            let first = at - now;
-                            k.machine.advance(first);
-                            carry.insert(cur, c - first);
-                            k.handle_interrupt();
-                        }
-                        _ => k.machine.advance(c),
-                    }
-                }
-                Step::Sys(sys) => {
-                    let t0 = k.machine.now();
-                    let outcome = k.handle_syscall(sys);
-                    let dt = k.machine.now() - t0;
-                    syscalls.record(dt);
-                    syscall_visits += 1;
-                    events += 1;
-                    if outcome == SyscallOutcome::Preempted {
-                        preempted += 1;
-                    }
-                }
-                Step::Pollute => k.machine.pollute(POLLUTION_BASE),
-            }
+            _ => {}
         }
 
         // SMP (DESIGN.md §14): give each remote core a slice — service
-        // its pending IPIs, then step its pinned thrasher once — and
-        // return to core 0. Remote kernel entries take the big lock and
-        // pollute the shared L2, which is exactly the cross-core
-        // interference the widened per-line bounds must absorb. Gated on
-        // the core count, so single-core runs take no extra branch work
-        // and draw no extra randomness.
-        if sim.kernel.n_cores() > 1 {
-            for c in 1..sim.kernel.n_cores() {
-                let k = &mut sim.kernel;
+        // its pending IPIs, then perform its pinned thrasher's next
+        // action once, whole — and return to core 0. Remote kernel
+        // entries take the big lock and pollute the shared L2, which is
+        // exactly the cross-core interference the widened per-line bounds
+        // must absorb. Gated on the core count, so single-core runs take
+        // no extra branch work and draw no extra randomness.
+        if k.n_cores() > 1 {
+            for c in 1..k.n_cores() {
                 k.switch_core(c);
                 while k.machine.irq.has_pending() {
                     k.handle_interrupt();
                 }
                 if !k.is_idle() {
                     let cur = k.current();
-                    if let Some(b) = sim.behaviors.get_mut(&cur) {
-                        match b.next(&mut rng) {
-                            Step::Compute(cyc) => k.machine.advance(cyc.max(1)),
-                            Step::Sys(sys) => {
-                                let _ = k.handle_syscall(sys);
-                            }
-                            Step::Pollute => k.machine.pollute(POLLUTION_BASE),
-                        }
+                    if let Some(b) = tenants.behaviors.get_mut(&cur) {
+                        driver::perform(k, cur, b.next(&mut tenants.rng));
                     }
                 }
                 k.switch_core(0);
@@ -364,8 +332,8 @@ fn run_shard_impl(
 
         // Drain newly logged responses: histogram, oracle, worst-sample
         // tracking, and (on replays) the probe's window fold.
-        while drained < sim.kernel.irq_log.len() {
-            let r = sim.kernel.irq_log[drained];
+        while drained < kernel.irq_log.len() {
+            let r = kernel.irq_log[drained];
             drained += 1;
             let latency = r.kernel_ack.saturating_sub(r.raised);
             let line = r.line.0;
@@ -398,7 +366,7 @@ fn run_shard_impl(
             if let Some(p) = probe {
                 if line == p.line && r.raised == p.raised {
                     attribution = Some(fold_window(
-                        &mut sim.kernel,
+                        &mut kernel,
                         r.raised,
                         r.kernel_ack,
                         latency,
@@ -418,11 +386,11 @@ fn run_shard_impl(
         syscall_visits,
         irq_responses,
         preempted,
-        fastpath_hits: sim.kernel.stats.fastpath_hits,
-        restarts: sim.kernel.stats.restarts,
-        threads: sim.threads,
-        endpoints: sim.endpoints,
-        end_cycle: sim.kernel.machine.now(),
+        fastpath_hits: kernel.stats.fastpath_hits,
+        restarts: kernel.stats.restarts,
+        threads,
+        endpoints,
+        end_cycle: kernel.machine.now(),
         worst,
         violations,
         violation_counts,

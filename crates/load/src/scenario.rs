@@ -40,6 +40,7 @@ use rt_kernel::cap::{insert_cap, Badge, CapType, Rights, SlotRef};
 use rt_kernel::kernel::{Kernel, KernelConfig, TIMER_LINE};
 use rt_kernel::obj::ObjId;
 use rt_kernel::syscall::Syscall;
+use rt_kernel::system::Action;
 use rt_kernel::MAX_MSG_WORDS;
 
 /// A deterministic, bound-violating delay injected into one shard — the
@@ -149,19 +150,8 @@ impl LoadSpec {
     }
 }
 
-/// One step of a tenant's behaviour.
-#[derive(Clone, Debug)]
-pub enum Step {
-    /// Spin in userspace for the given cycles.
-    Compute(Cycles),
-    /// Trap with a system call.
-    Sys(Syscall),
-    /// Dirty-fill the caches (costs no simulated time; wrecks locality).
-    Pollute,
-}
-
 /// A tenant's behaviour state machine; [`Behavior::next`] yields the
-/// thread's next step each time it is current. All randomness comes from
+/// thread's next action each time it is current. All randomness comes from
 /// the shard RNG passed in, in deterministic engine-loop order.
 #[derive(Clone, Debug)]
 pub enum Behavior {
@@ -223,10 +213,16 @@ pub enum Behavior {
     },
 }
 
+/// A think-time compute burst: at least one cycle, so every user step
+/// advances simulated time.
+fn burst(think: &Think, rng: &mut Rng64) -> Action {
+    Action::Compute(think.draw(rng).max(1))
+}
+
 impl Behavior {
-    /// The tenant's next step. `rng` is the shard RNG; draws happen in
+    /// The tenant's next action. `rng` is the shard RNG; draws happen in
     /// engine-loop order, so the stream is deterministic.
-    pub fn next(&mut self, rng: &mut Rng64) -> Step {
+    pub fn next(&mut self, rng: &mut Rng64) -> Action {
         match self {
             Behavior::Client {
                 ep,
@@ -235,7 +231,7 @@ impl Behavior {
             } => {
                 if *thinking {
                     *thinking = false;
-                    Step::Compute(think.draw(rng))
+                    burst(think, rng)
                 } else {
                     *thinking = true;
                     // Mostly short (fastpath-eligible) calls, with a
@@ -245,7 +241,7 @@ impl Behavior {
                     } else {
                         rng.gen_range(5, u64::from(MAX_MSG_WORDS) + 1) as u32
                     };
-                    Step::Sys(Syscall::Call {
+                    Action::Syscall(Syscall::Call {
                         cptr: *ep,
                         len,
                         caps: vec![],
@@ -255,10 +251,10 @@ impl Behavior {
             Behavior::Server { ep, recved } => {
                 if !*recved {
                     *recved = true;
-                    Step::Sys(Syscall::Recv { cptr: *ep })
+                    Action::Syscall(Syscall::Recv { cptr: *ep })
                 } else {
                     let len = rng.gen_range(0, u64::from(MAX_MSG_WORDS) + 1) as u32;
-                    Step::Sys(Syscall::ReplyRecv {
+                    Action::Syscall(Syscall::ReplyRecv {
                         cptr: *ep,
                         len,
                         caps: vec![],
@@ -268,9 +264,9 @@ impl Behavior {
             Behavior::Thrasher { think, phase } => {
                 *phase = (*phase + 1) % 3;
                 match *phase {
-                    1 => Step::Pollute,
-                    2 => Step::Compute(think.draw(rng)),
-                    _ => Step::Sys(Syscall::Yield),
+                    1 => Action::Pollute,
+                    2 => burst(think, rng),
+                    _ => Action::Syscall(Syscall::Yield),
                 }
             }
             Behavior::Decoder {
@@ -280,10 +276,10 @@ impl Behavior {
             } => {
                 if *thinking {
                     *thinking = false;
-                    Step::Compute(think.draw(rng))
+                    burst(think, rng)
                 } else {
                     *thinking = true;
-                    Step::Sys(Syscall::Signal { cptr: *cptr })
+                    Action::Syscall(Syscall::Signal { cptr: *cptr })
                 }
             }
             Behavior::Janitor {
@@ -296,11 +292,11 @@ impl Behavior {
             } => {
                 if *resting {
                     *resting = false;
-                    Step::Compute(think.draw(rng))
+                    burst(think, rng)
                 } else if *minted < *batch {
                     let dest = *dest_base + *minted;
                     *minted += 1;
-                    Step::Sys(Syscall::Mint {
+                    Action::Syscall(Syscall::Mint {
                         src: *parent,
                         dest,
                         badge: Badge(0x4000_0000 | *minted),
@@ -311,7 +307,7 @@ impl Behavior {
                     *resting = true;
                     // The long path: delete every child, one preemption
                     // point per deletion.
-                    Step::Sys(Syscall::Revoke { cptr: *parent })
+                    Action::Syscall(Syscall::Revoke { cptr: *parent })
                 }
             }
             Behavior::Driver {
@@ -321,10 +317,10 @@ impl Behavior {
             } => {
                 if *acking {
                     *acking = false;
-                    Step::Sys(Syscall::IrqAck { handler: *handler })
+                    Action::Syscall(Syscall::IrqAck { handler: *handler })
                 } else {
                     *acking = true;
-                    Step::Sys(Syscall::Wait { cptr: *ntfn })
+                    Action::Syscall(Syscall::Wait { cptr: *ntfn })
                 }
             }
         }
