@@ -292,7 +292,8 @@ fn run_shard_impl(
         }
 
         // One driver step on core 0; every kernel visit (fresh or a
-        // §2.1 re-issue) is measured.
+        // §2.1 re-issue) is measured. Parking a thread ends the iteration
+        // early: no remote-core slice, no drain.
         match driver::step(k, &mut tenants, Cycles::MAX) {
             Stepped::Quiescent => break,
             Stepped::Parked => continue,
