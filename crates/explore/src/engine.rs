@@ -7,11 +7,12 @@
 //! happens next: a thread step (one [`rt_kernel::driver::run_thread`],
 //! the scenario scripts as its action source) or one of the legal
 //! interrupt arrivals. Every preemption-point poll inside the kernel is a
-//! decision point too (via the installed [`DecisionSource`]). After every event the oracles
-//! run: the kernel-wide invariant suite, the incremental-consistency
-//! checks of [`crate::oracle`], and the latency oracle (every logged
-//! interrupt response must be within its WCET-derived bound — per-line
-//! rank-aware bounds when configured, the scalar §6 bound otherwise).
+//! decision point too (via the installed [`DecisionSource`]). After
+//! every event the oracles run: the kernel-wide invariant suite, the
+//! incremental-consistency checks of [`crate::oracle`], and the latency
+//! oracle (every logged interrupt response must be within its
+//! WCET-derived bound — per-line rank-aware bounds when configured, the
+//! scalar §6 bound otherwise).
 //!
 //! Exhaustive mode branches a new trace for every untried alternative at
 //! every decision point past the scripted prefix. Two execution paths

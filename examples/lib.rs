@@ -9,11 +9,6 @@ pub fn banner(title: &str) {
     println!("\n=== {title} ===");
 }
 
-/// Appends a section banner to `out` (the [`banner`] line, as text).
-pub fn banner_into(out: &mut String, title: &str) {
-    out.push_str(&format!("\n=== {title} ===\n"));
-}
-
 /// Formats cycles with the microsecond equivalent at 532 MHz.
 pub fn cyc(c: u64) -> String {
     format!("{c} cycles ({:.1} us)", rt_hw::cycles_to_us(c))

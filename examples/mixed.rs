@@ -10,7 +10,7 @@
 
 use std::fmt::Write;
 
-use crate::{banner_into, cyc};
+use crate::cyc;
 use rt_hw::{HwConfig, IrqLine};
 use rt_kernel::cap::{insert_cap, Badge, CapType, Rights, SlotRef};
 use rt_kernel::kernel::{Kernel, KernelConfig};
@@ -112,7 +112,7 @@ fn run(out: &mut String, config: KernelConfig, label: &str) -> (u64, u64, usize)
     } else {
         responses.iter().sum::<u64>() / responses.len() as u64
     };
-    banner_into(out, label);
+    let _ = writeln!(out, "\n=== {label} ===");
     let _ = writeln!(out, "interrupts delivered: {}", responses.len());
     let _ = writeln!(out, "worst response:       {}", cyc(worst));
     let _ = writeln!(out, "average response:     {}", cyc(avg));
@@ -139,7 +139,7 @@ pub fn report() -> String {
         KernelConfig::after(),
         "AFTER kernel (1 KiB preemption points)",
     );
-    banner_into(&mut out, "Verdict");
+    let _ = writeln!(out, "\n=== Verdict ===");
     assert!(n_b > 0 && n_a > 0);
     let _ = writeln!(
         out,
